@@ -4,8 +4,13 @@ An *instance* is one application of a grammar symbol to a region of the
 form: terminal instances wrap tokens; nonterminal instances are produced by
 a production from component instances.  Every instance knows its bounding
 box, the set of token ids it covers, its semantic payload (attribute
-labels, operator lists, assembled conditions), its children, and -- for the
-pruning machinery -- its live parents.
+labels, operator lists, assembled conditions), and its children.
+
+Instances carry child links only, never their parents: a parse forest is
+an acyclic graph that plain reference counting frees as soon as the parse
+result is dropped.  The parser keeps the reverse (parent) links it needs
+for rollback and maximization in its per-parse bookkeeping
+(``ParseCore.parents``, exposed as ``ParseResult.parents_of``).
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ class Instance:
         "payload",
         "token",
         "production",
-        "parents",
         "alive",
         "_descendant_uids",
         "_descendant_iid_mask",
@@ -89,7 +93,6 @@ class Instance:
         self.payload: dict[str, Any] = payload or {}
         self.token = token
         self.production = production
-        self.parents: list["Instance"] = []
         self.alive = True
         self._descendant_uids: frozenset[int] | None = None
         self._descendant_iid_mask: int | None = None

@@ -5,21 +5,38 @@ carry lower-cased tag names and attribute dictionaries.  The model offers the
 traversal and query helpers the rest of the system needs (``find``,
 ``find_all``, ``iter``, ``text_content``) without pretending to be a full
 W3C DOM.
+
+Children are strong references and ``parent`` is a *weak* one, so a
+document is an acyclic object graph that refcounting frees the moment the
+last reference to its root goes away.  The flip side: ancestors are only
+reachable while something holds the :class:`Document` (or the subtree
+root); a node whose tree was dropped reports ``parent is None``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterator
 
 
 class Node:
     """Base class for all DOM nodes."""
 
-    __slots__ = ("parent", "children")
+    __slots__ = ("_parent", "children", "__weakref__")
 
     def __init__(self) -> None:
-        self.parent: Element | Document | None = None
+        self._parent: weakref.ref[Node] | None = None
         self.children: list[Node] = []
+
+    @property
+    def parent(self) -> "Element | Document | None":
+        """The node this one is a child of (held weakly; see module doc)."""
+        ref = self._parent
+        return ref() if ref is not None else None  # type: ignore[return-value]
+
+    @parent.setter
+    def parent(self, node: "Node | None") -> None:
+        self._parent = weakref.ref(node) if node is not None else None
 
     # -- tree manipulation -------------------------------------------------
 

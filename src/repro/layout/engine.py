@@ -789,56 +789,64 @@ class LayoutEngine:
             return sum(widths) + (len(widths) + 1) * spacing
 
         # Inline/block container: longest segment between explicit breaks.
-        best = 0.0
-        current = 0.0
-        pending_space = False
+        line = _LineMeasure()
+        self._measure_inline(node, is_bold_context(node), 1, depth, line)
+        return max(line.best, line.current)
 
-        def walk(element: Element, bold: bool, walk_depth: int) -> None:
-            nonlocal best, current, pending_space
-            if walk_depth > self._depth_cap:
-                return
-            font = BOLD_FONT if bold else self.font
-            for child in element.children:
-                if isinstance(child, Text):
-                    words = child.data.split()
-                    leading_ws = child.data[:1].isspace()
-                    trailing_ws = child.data[-1:].isspace() if child.data else False
-                    for index, word in enumerate(words):
-                        if (index > 0 or leading_ws or pending_space) and current > 0:
-                            current += SPACE_WIDTH
-                        current += font.text_width(word)
-                        pending_space = False
-                    if trailing_ws:
-                        pending_space = True
-                    continue
-                if not isinstance(child, Element):
-                    continue
-                child_display = display_of(child)
-                if child_display is Display.NONE:
-                    continue
-                if child.tag == "br" or child_display not in (Display.INLINE,):
-                    # Block boundary: measure it independently.
-                    best = max(best, current)
-                    current = 0.0
-                    pending_space = False
-                    if child.tag != "br":
-                        best = max(
-                            best,
-                            self._intrinsic_width(child, depth + walk_depth + 1),
-                        )
-                    continue
-                if is_control(child) or child.tag == "img":
-                    if pending_space and current > 0:
-                        current += SPACE_WIDTH
-                        pending_space = False
-                    current += control_size(child, self.font)[0]
-                    continue
-                walk(child, bold or is_bold_context(child), walk_depth + 1)
-
-        if isinstance(node, Element):
-            walk(node, is_bold_context(node), 1)
-        best = max(best, current)
-        return best
+    def _measure_inline(
+        self,
+        element: Element,
+        bold: bool,
+        walk_depth: int,
+        depth: int,
+        line: "_LineMeasure",
+    ) -> None:
+        """Accumulate *element*'s inline content into *line* (the body of
+        :meth:`_intrinsic_width` for inline/block containers)."""
+        if walk_depth > self._depth_cap:
+            return
+        font = BOLD_FONT if bold else self.font
+        for child in element.children:
+            if isinstance(child, Text):
+                words = child.data.split()
+                leading_ws = child.data[:1].isspace()
+                trailing_ws = child.data[-1:].isspace() if child.data else False
+                for index, word in enumerate(words):
+                    if (
+                        index > 0 or leading_ws or line.pending_space
+                    ) and line.current > 0:
+                        line.current += SPACE_WIDTH
+                    line.current += font.text_width(word)
+                    line.pending_space = False
+                if trailing_ws:
+                    line.pending_space = True
+                continue
+            if not isinstance(child, Element):
+                continue
+            child_display = display_of(child)
+            if child_display is Display.NONE:
+                continue
+            if child.tag == "br" or child_display not in (Display.INLINE,):
+                # Block boundary: measure it independently.
+                line.best = max(line.best, line.current)
+                line.current = 0.0
+                line.pending_space = False
+                if child.tag != "br":
+                    line.best = max(
+                        line.best,
+                        self._intrinsic_width(child, depth + walk_depth + 1),
+                    )
+                continue
+            if is_control(child) or child.tag == "img":
+                if line.pending_space and line.current > 0:
+                    line.current += SPACE_WIDTH
+                    line.pending_space = False
+                line.current += control_size(child, self.font)[0]
+                continue
+            self._measure_inline(
+                child, bold or is_bold_context(child), walk_depth + 1, depth,
+                line,
+            )
 
     # -- container boxes ----------------------------------------------------------
 
@@ -861,6 +869,18 @@ class LayoutEngine:
                     union = union.union(box)
                 result.element_boxes[id(element)] = union
                 result.elements_by_id[id(element)] = element
+
+
+class _LineMeasure:
+    """Running state of one max-content measurement: the widest segment
+    so far, the current segment, and whether a space is pending."""
+
+    __slots__ = ("best", "current", "pending_space")
+
+    def __init__(self) -> None:
+        self.best = 0.0
+        self.current = 0.0
+        self.pending_space = False
 
 
 def layout_document(

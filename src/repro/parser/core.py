@@ -58,13 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     TargetCheck = tuple[int, "AxisSpec", "AxisSpec"]
     GuardTick = Callable[[str], bool]
 
-#: Cell cap for materializing the full loser x winner candidacy matrix in
-#: masked enforcement.  The uint64 intermediates cost 8 bytes per cell, so
-#: this bounds the transient allocation to ~16 MiB; larger (degenerate)
-#: pools fall back to computing one row per alive loser instead.
-_MASKED_MATRIX_CELLS = 1 << 21
-
-
 def is_compiled() -> bool:
     """True when this module runs as a mypyc-compiled extension.
 
@@ -162,12 +155,13 @@ class ParseCore:
 
     Owns the parse's :class:`~repro.grammar.instance.InternTable`; every
     instance entering the parse goes through :meth:`register`, which
-    interns it and maintains the symbol pools plus (for symbols that can
-    win some preference) the per-token winner index.
+    interns it and maintains the symbol pools, the parent links, and (for
+    symbols that can win some preference) the per-token winner index.
     """
 
     __slots__ = (
         "table",
+        "parents",
         "store",
         "winner_symbols",
         "winner_index",
@@ -186,6 +180,11 @@ class ParseCore:
         winner_symbols: frozenset[str] = frozenset(),
     ):
         self.table = InternTable()
+        #: ``parents[iid]`` lists the instances built directly from the
+        #: instance interned as *iid*, in registration order.  The reverse
+        #: links live here rather than on the instances, so the parse
+        #: forest itself stays acyclic and refcounting frees it.
+        self.parents: list[list[Instance]] = []
         self.store: dict[str, list[Instance]] = {}
         #: Symbols that can win some preference: only their instances are
         #: token-indexed, so ``find_winner`` scans winner candidates only
@@ -216,7 +215,14 @@ class ParseCore:
         return self.table.instances
 
     def register(self, instance: Instance) -> None:
+        """Intern *instance*; its children must be registered already."""
         iid = self.table.add(instance)
+        parents = self.parents
+        parents.append([])
+        for child in instance.children:
+            child_iid = child.iid
+            assert 0 <= child_iid < iid, "child registered after its parent"
+            parents[child_iid].append(instance)
         symbol = instance.symbol
         pool = self.store.get(symbol)
         if pool is None:
@@ -604,14 +610,6 @@ def _combos(
         counters.combos_prefiltered += len(pool) - len(selected)
         return selected
 
-    def expand(position: int) -> Iterator[tuple[Instance, ...]]:
-        if position == n:
-            yield tuple(combo)
-            return
-        for candidate in candidates(position):
-            combo[position] = candidate
-            yield from expand(position + 1)
-
     if n == 2:
         # Binary productions dominate practical 2P grammars, so unroll
         # the recursive expansion into two plain loops.  Position 0
@@ -651,7 +649,27 @@ def _combos(
                 yield (anchor, candidate)
         return
 
-    yield from expand(0)
+    yield from _expand(0, combo, candidates)
+
+
+def _expand(
+    position: int,
+    combo: list[Instance],
+    candidates: Callable[[int], list[Instance]],
+) -> Iterator[tuple[Instance, ...]]:
+    """Depth-first cartesian expansion of *candidates* from *position* on.
+
+    A module-level function rather than a closure over itself: a
+    self-recursive closure is a reference cycle that would keep the
+    enumeration's pools and geometry tables alive until a cyclic
+    collection.
+    """
+    if position == len(combo):
+        yield tuple(combo)
+        return
+    for candidate in candidates(position):
+        combo[position] = candidate
+        yield from _expand(position + 1, combo, candidates)
 
 
 def passes(
@@ -743,8 +761,8 @@ def enforce(
         return
     if core.masked_enforcement:
         _enforce_masked(
-            preference, losers, winner_pool, watermark, counters, subsume,
-            core.dirty_symbols,
+            core, preference, losers, winner_pool, watermark, counters,
+            subsume,
         )
         return
     winners_by_token = core.winner_index.get(preference.winner_symbol)
@@ -764,24 +782,24 @@ def enforce(
             )
         if winner is not None:
             counters.preference_applications += 1
-            rollback(loser, counters, core.dirty_symbols)
+            rollback(core, loser, counters)
 
 
 def _enforce_masked(
+    core: ParseCore,
     preference: Preference,
     losers: list[Instance],
     winner_pool: list[Instance],
     watermark: int,
     counters: CoreCounters,
     subsume: bool,
-    dirty: set[str],
 ) -> None:
     """Vectorized preference enforcement over coverage bitmasks.
 
     With the vector kernel no per-token winner index exists at all;
-    instead the loser x winner candidacy relation is evaluated as one
-    numpy boolean matrix over the ``uint64`` coverage masks -- strict
-    superset for ``subsumes`` preferences (the condition itself),
+    instead each loser's candidate winners are found with one numpy
+    comparison over the ``uint64`` coverage masks of the winner pool --
+    strict superset for ``subsumes`` preferences (the condition itself),
     plain intersection for everything else (the shared-token join the
     token index used to provide).  A kill only depends on *whether*
     some candidate beats the loser, not on which one is found first,
@@ -789,14 +807,11 @@ def _enforce_masked(
     leaves the kill sequence -- and every counter -- identical to the
     scalar path's.
 
-    Rows are only decoded for losers still alive when the scan
-    reaches them: each kill rolls back whole derivation chains, so
-    most rows die before their turn and their (potentially dense)
-    ancestor-chain hits are never materialized.  The full loser x
-    winner matrix is only materialized while it stays small;
-    degenerate forms (hundreds of thousands of instances in one
-    pool) instead compute each alive loser's hit row on demand,
-    keeping peak memory at O(winners) regardless of pool size.
+    A loser's hit row is only computed when the loser is still alive
+    as the scan reaches it: each kill rolls back whole derivation
+    chains, so most losers die before their turn and their
+    (potentially dense) rows are never built.  Memory stays
+    O(winners) whatever the pool sizes.
     """
     numpy = _load_numpy()
     winner_masks = numpy.fromiter(
@@ -804,36 +819,21 @@ def _enforce_masked(
         dtype=numpy.uint64,
         count=len(winner_pool),
     )
-    hits = None
-    if len(winner_pool) * len(losers) <= _MASKED_MATRIX_CELLS:
-        loser_masks = numpy.fromiter(
-            (loser.coverage_mask for loser in losers),
-            dtype=numpy.uint64,
-            count=len(losers),
-        ).reshape(-1, 1)
-        if subsume:
-            hits = (winner_masks & loser_masks) == loser_masks
-            hits &= winner_masks != loser_masks
-        else:
-            hits = (winner_masks & loser_masks) != 0
     uint64 = numpy.uint64
     condition = preference.condition
     criteria = preference.criteria
-    for row, loser in enumerate(losers):
+    for loser in losers:
         if not loser.alive:  # may have died from an earlier rollback
             continue
         min_iid = watermark + 1 if loser.iid <= watermark else 0
         loser_iid = loser.iid
         loser_descendants = 0  # descendant-iid mask, decoded lazily
-        if hits is not None:
-            row_hits = hits[row]
+        mask = uint64(loser.coverage_mask)
+        if subsume:
+            row_hits = (winner_masks & mask) == mask
+            row_hits &= winner_masks != mask
         else:
-            mask = uint64(loser.coverage_mask)
-            if subsume:
-                row_hits = (winner_masks & mask) == mask
-                row_hits &= winner_masks != mask
-            else:
-                row_hits = (winner_masks & mask) != 0
+            row_hits = (winner_masks & mask) != 0
         for col in row_hits.nonzero()[0].tolist():
             candidate = winner_pool[col]
             if candidate.iid < min_iid or not candidate.alive:
@@ -851,7 +851,7 @@ def _enforce_masked(
                 continue
             if criteria(candidate, loser):
                 counters.preference_applications += 1
-                rollback(loser, counters, dirty)
+                rollback(core, loser, counters)
                 break
 
 
@@ -971,15 +971,17 @@ def find_subsuming_winner(
 
 
 def rollback(
-    instance: Instance,
-    counters: CoreCounters,
-    dirty: set[str] | None = None,
+    core: ParseCore, instance: Instance, counters: CoreCounters
 ) -> None:
     """Invalidate *instance* and every live ancestor built from it.
 
-    *dirty* collects the symbols of killed instances so pool
-    snapshots know which store lists now contain tombstones.
+    Ancestors are found through the parse's parent links
+    (:attr:`ParseCore.parents`); the symbols of killed instances are
+    added to :attr:`ParseCore.dirty_symbols` so pool snapshots know
+    which store lists now contain tombstones.
     """
+    parents = core.parents
+    dirty = core.dirty_symbols
     stack = [instance]
     first = True
     while stack:
@@ -987,11 +989,10 @@ def rollback(
         if not node.alive or node.is_terminal:
             continue
         node.alive = False
-        if dirty is not None:
-            dirty.add(node.symbol)
+        dirty.add(node.symbol)
         if first:
             counters.instances_pruned += 1
             first = False
         else:
             counters.rollback_kills += 1
-        stack.extend(parent for parent in node.parents if parent.alive)
+        stack.extend(parent for parent in parents[node.iid] if parent.alive)

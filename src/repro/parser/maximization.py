@@ -10,22 +10,32 @@ special case that subsumes everything.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.grammar.instance import Instance
 
 
-def candidate_roots(instances: list[Instance]) -> list[Instance]:
-    """Live nonterminal instances that no live parent can extend further."""
+def candidate_roots(
+    instances: list[Instance], parents: Sequence[list[Instance]]
+) -> list[Instance]:
+    """Live nonterminal instances that no live parent can extend further.
+
+    *parents* maps an instance's intern id to the instances built from it
+    (``ParseCore.parents``).
+    """
     roots = []
     for instance in instances:
         if not instance.alive or instance.is_terminal:
             continue
-        if any(parent.alive for parent in instance.parents):
+        if any(parent.alive for parent in parents[instance.iid]):
             continue
         roots.append(instance)
     return roots
 
 
-def maximal_roots(instances: list[Instance]) -> list[Instance]:
+def maximal_roots(
+    instances: list[Instance], parents: Sequence[list[Instance]]
+) -> list[Instance]:
     """Maximum partial trees under token-coverage subsumption.
 
     A candidate is dropped when another candidate's coverage strictly
@@ -34,7 +44,7 @@ def maximal_roots(instances: list[Instance]) -> list[Instance]:
     at larger context", Section 5.3), then the earlier-derived, keeping
     results deterministic.
     """
-    candidates = candidate_roots(instances)
+    candidates = candidate_roots(instances, parents)
     # Sort once: larger coverage first, then richer interpretation, then
     # earlier derivation.  Coverage size and subsumption both run on the
     # int bitmask (popcount / masked AND) so no coverage set is decoded.

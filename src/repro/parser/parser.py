@@ -195,13 +195,14 @@ class ParserConfig:
     memoize_spatial: bool = True
     kernel: str = "auto"
     #: Pause the cyclic garbage collector for the duration of each
-    #: ``parse()`` call.  A parse churns tens of thousands of short-lived
-    #: instances whose parent backrefs form reference cycles, so the
-    #: generational collector fires dozens of times mid-parse scanning
-    #: objects that are all still reachable; deferring collection to the
-    #: end of the call is worth ~20% wall time and changes no result.
-    #: Only toggled when the collector is enabled on entry, and always
-    #: restored on exit (including on exceptions).
+    #: ``parse()`` call.  The parse forest holds no reference cycles, but
+    #: a parse allocates thousands of container objects, so the
+    #: young-generation collector still fires mid-parse and rescans
+    #: instances that are all still reachable.  Measured on the ``crawl``
+    #: benchmark (2-core container): pausing is worth ~5% forms/s and
+    #: ~8% p90 latency, and changes no result.  Only toggled when the
+    #: collector is enabled on entry, and always restored on exit
+    #: (including on exceptions).
     pause_gc: bool = True
 
     def __post_init__(self) -> None:
@@ -310,6 +311,21 @@ class ParseResult:
     tokens: list[Token]
     instances: list[Instance] = field(default_factory=list)
     stats: ParseStats = field(default_factory=ParseStats)
+    #: ``parents[i]``: the instances built directly from ``instances[i]``
+    #: (see :meth:`parents_of`).
+    parents: list[list[Instance]] = field(default_factory=list, repr=False)
+
+    def parents_of(self, instance: Instance) -> tuple[Instance, ...]:
+        """The instances this parse built directly from *instance*.
+
+        Instances link only to their children; the reverse links are
+        kept by the parse.  Raises ``ValueError`` for an instance that
+        is not one of :attr:`instances`.
+        """
+        iid = instance.iid
+        if not (0 <= iid < len(self.parents)) or self.instances[iid] is not instance:
+            raise ValueError(f"{instance!r} is not an instance of this parse")
+        return tuple(self.parents[iid])
 
     @property
     def covered(self) -> frozenset[int]:
@@ -500,7 +516,7 @@ class BestEffortParser:
 
             construction_done = time.perf_counter()
             stats.construction_seconds = construction_done - started
-            trees = maximal_roots(state.all_instances)
+            trees = maximal_roots(state.all_instances, state.parents)
             stats.maximization_seconds = time.perf_counter() - construction_done
         finally:
             if gc_paused:
@@ -512,6 +528,7 @@ class BestEffortParser:
             tokens=tokens,
             instances=state.all_instances,
             stats=stats,
+            parents=state.parents,
         )
 
     # -- phase 1: fix-point instantiation ------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for parse instances."""
 
+import gc
+
 from repro.grammar.instance import Instance
 from tests.conftest import make_token
 
@@ -14,10 +16,7 @@ def parent_of(*children, symbol="X"):
     box = children[0].bbox
     for child in children[1:]:
         box = box.union(child.bbox)
-    instance = Instance(symbol=symbol, bbox=box, children=tuple(children))
-    for child in children:
-        child.parents.append(instance)
-    return instance
+    return Instance(symbol=symbol, bbox=box, children=tuple(children))
 
 
 class TestConstruction:
@@ -42,6 +41,16 @@ class TestConstruction:
 
     def test_alive_by_default(self):
         assert terminal().alive
+
+    def test_instances_link_only_to_children(self):
+        # Parent links are kept by the parse, never on the instance: a
+        # child holds no reference to the nodes built from it, so a parse
+        # forest is acyclic.
+        child = terminal(0)
+        parent = parent_of(child)
+        assert not hasattr(child, "parents")
+        assert parent not in gc.get_referents(child)
+        assert child in parent.children
 
 
 class TestTreeStructure:
@@ -88,7 +97,6 @@ class TestConflicts:
         shared = terminal(0)
         first = parent_of(shared, symbol="A")
         second = Instance(symbol="B", bbox=shared.bbox, children=(shared,))
-        shared.parents.append(second)
         assert first.conflicts_with(second)
         assert second.conflicts_with(first)
 

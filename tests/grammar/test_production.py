@@ -4,6 +4,7 @@ import pytest
 
 from repro.grammar.instance import Instance
 from repro.grammar.production import Production
+from repro.parser.core import ParseCore
 from tests.conftest import make_token
 
 
@@ -11,6 +12,28 @@ def text_instance(token_id, left=0.0, sval="x"):
     return Instance.for_token(
         make_token(token_id, "text", left, 0.0, sval=sval)
     )
+
+
+def snapshot(instance):
+    """Every slot of *instance* (identity of the values, plus the payload
+    contents) -- what try_apply must leave untouched."""
+    values = {
+        slot: getattr(instance, slot)
+        for slot in Instance.__slots__
+        if hasattr(instance, slot)
+    }
+    return (
+        {slot: id(value) for slot, value in values.items()},
+        dict(instance.payload),
+    )
+
+
+def registered(*instances):
+    """A parse core with *instances* registered in order."""
+    core = ParseCore(instances_left=100, combos_left=100)
+    for instance in instances:
+        core.register(instance)
+    return core
 
 
 class TestDefinition:
@@ -50,7 +73,24 @@ class TestApplication:
         production = Production(head="X", components=("text",))
         source = text_instance(0)
         result = production.try_apply((source,))
-        assert result in source.parents
+        core = registered(source, result)
+        assert core.parents[source.iid] == [result]
+        assert core.parents[result.iid] == []
+
+    def test_components_left_unmodified(self):
+        production = Production(
+            head="X", components=("text", "text"),
+            constructor=lambda a, b: {"pair": (a.uid, b.uid)},
+        )
+        first, second = text_instance(0), text_instance(1, left=100)
+        before = [snapshot(first), snapshot(second)]
+        result = production.try_apply((first, second))
+        assert result is not None
+        assert [snapshot(first), snapshot(second)] == before
+        unary = Production(head="Y", components=("text",))
+        before = snapshot(first)
+        assert unary.try_apply((first,)) is not None
+        assert snapshot(first) == before
 
     def test_constraint_rejects(self):
         production = Production(
@@ -106,5 +146,8 @@ class TestApplication:
             head="X", components=("text",), constraint=lambda t: False
         )
         source = text_instance(0)
-        production.try_apply((source,))
-        assert source.parents == []
+        before = snapshot(source)
+        assert production.try_apply((source,)) is None
+        assert snapshot(source) == before
+        core = registered(source)
+        assert core.parents[source.iid] == []

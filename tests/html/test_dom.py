@@ -1,5 +1,7 @@
 """Tests for the DOM node model."""
 
+import weakref
+
 from repro.html.dom import Comment, Document, Element, Text
 
 
@@ -37,6 +39,17 @@ class TestTreeManipulation:
         parent.remove_child(child)
         assert child.parent is None
         assert parent.children == []
+
+    def test_parent_is_held_weakly(self):
+        # Children keep no strong reference up the tree: dropping the
+        # document frees it by refcounting, and ancestors vanish with it.
+        document, form = small_tree()
+        alive = weakref.ref(document)
+        assert form.parent is not None
+        del document
+        assert alive() is None
+        assert form.parent is None
+        assert list(form.ancestors()) == []
 
 
 class TestTraversal:

@@ -220,7 +220,7 @@ def zipf_soups(draw):
     """Random form layouts on a loose grid with a Zipf terminal mix.
 
     ``id_base`` pushes half the examples past ``token.id >= 64``, so both
-    the masked (uint64 coverage-mask matrix) and the general preference
+    the masked (uint64 coverage-mask) and the general preference
     enforcement paths of the vector kernel are exercised.
     """
     count = draw(st.integers(min_value=0, max_value=16))

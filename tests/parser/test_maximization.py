@@ -2,7 +2,9 @@
 
 from repro.grammar.instance import Instance
 from repro.grammar.production import Production
-from repro.parser.maximization import candidate_roots, covered_tokens, maximal_roots
+from repro.parser import maximization
+from repro.parser.core import ParseCore
+from repro.parser.maximization import covered_tokens
 from tests.conftest import make_token
 
 
@@ -17,6 +19,27 @@ def node(symbol, *children):
     result = production.try_apply(tuple(children))
     assert result is not None
     return result
+
+
+def parents_for(instances):
+    """Parent links of *instances* and their subtrees, as a parse keeps
+    them: every node registered in creation (uid) order."""
+    nodes = {}
+    for instance in instances:
+        for descendant in instance.descendants():
+            nodes[descendant.uid] = descendant
+    core = ParseCore(instances_left=100, combos_left=100)
+    for uid in sorted(nodes):
+        core.register(nodes[uid])
+    return core.parents
+
+
+def candidate_roots(instances):
+    return maximization.candidate_roots(instances, parents_for(instances))
+
+
+def maximal_roots(instances):
+    return maximization.maximal_roots(instances, parents_for(instances))
 
 
 class TestCandidateRoots:

@@ -1,5 +1,7 @@
 """Tests for the best-effort parser core: fix-point, pruning, rollback."""
 
+import pytest
+
 from repro.grammar.dsl import GrammarBuilder
 from repro.grammar.preference import subsumes
 from repro.parser.parser import BestEffortParser, ExhaustiveParser, ParserConfig
@@ -112,7 +114,7 @@ class TestJustInTimePruning:
         for instance in result.instances:
             if not instance.alive:
                 # No live instance may sit above a dead one.
-                for parent in instance.parents:
+                for parent in result.parents_of(instance):
                     assert not parent.alive
 
     def test_terminals_never_killed(self):
@@ -188,3 +190,25 @@ class TestResultAccounting:
         temporary = result.temporary_instances()
         uids = {i.uid for i in result.instances}
         assert all(t.uid in uids for t in temporary)
+
+    def test_parents_of_mirrors_children(self):
+        grammar = list_grammar().build()
+        tokens = row_tokens(
+            "radiobutton", "text", "radiobutton", "text",
+        )
+        result = ExhaustiveParser(grammar).parse(tokens)
+        for instance in result.instances:
+            for child in instance.children:
+                assert instance in result.parents_of(child)
+            for parent in result.parents_of(instance):
+                assert instance in parent.children
+        top = max(result.instances, key=lambda i: (len(i.coverage), i.uid))
+        assert result.parents_of(top) == ()
+
+    def test_parents_of_rejects_foreign_instances(self):
+        grammar = list_grammar().build()
+        tokens = row_tokens("radiobutton", "text")
+        first = BestEffortParser(grammar).parse(tokens)
+        second = BestEffortParser(grammar).parse(tokens)
+        with pytest.raises(ValueError):
+            first.parents_of(second.instances[0])

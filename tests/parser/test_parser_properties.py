@@ -96,7 +96,9 @@ class TestParserInvariants:
         result = _PARSER.parse(tokens)
         for tree in result.trees:
             assert tree.alive
-            assert not any(parent.alive for parent in tree.parents)
+            assert not any(
+                parent.alive for parent in result.parents_of(tree)
+            )
 
     @given(token_soups())
     @settings(max_examples=40, deadline=None)
@@ -113,7 +115,9 @@ class TestParserInvariants:
         result = _PARSER.parse(tokens)
         for instance in result.instances:
             if not instance.alive and not instance.is_terminal:
-                assert not any(p.alive for p in instance.parents)
+                assert not any(
+                    p.alive for p in result.parents_of(instance)
+                )
 
     @given(token_soups())
     @settings(max_examples=40, deadline=None)
